@@ -3,7 +3,7 @@
 //! coalescing win holds under the bench harness too.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mac_sim::experiment::{run_workload, ExperimentConfig};
+use mac_sim::experiment::{run_workload, ExperimentConfig, RunOptions};
 use mac_workloads::sg::ScatterGather;
 
 fn bench_full_system(c: &mut Criterion) {
@@ -12,12 +12,12 @@ fn bench_full_system(c: &mut Criterion) {
     let mut cfg = ExperimentConfig::paper(8);
     cfg.workload.scale = 1;
     g.bench_function("sg_with_mac", |b| {
-        b.iter(|| black_box(run_workload(&ScatterGather, &cfg)));
+        b.iter(|| black_box(run_workload(&ScatterGather, &cfg, RunOptions::default())));
     });
     let mut base = cfg.clone();
     base.system.mac_disabled = true;
     g.bench_function("sg_without_mac", |b| {
-        b.iter(|| black_box(run_workload(&ScatterGather, &base)));
+        b.iter(|| black_box(run_workload(&ScatterGather, &base, RunOptions::default())));
     });
     g.finish();
 }

@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn oracle_bounds_measured_efficiency_for_every_workload() {
-        use crate::experiment::{run_workload, ExperimentConfig};
+        use crate::experiment::{run_workload, ExperimentConfig, RunOptions};
         let mut cfg = ExperimentConfig::paper(4);
         cfg.workload.scale = 1;
         let params = WorkloadParams {
@@ -172,7 +172,8 @@ mod tests {
         };
         for w in all_workloads().into_iter().take(4) {
             let oracle = analyze(&w.generate(&params)).oracle_efficiency();
-            let measured = run_workload(w.as_ref(), &cfg).coalescing_efficiency();
+            let measured =
+                run_workload(w.as_ref(), &cfg, RunOptions::default()).coalescing_efficiency();
             assert!(
                 measured <= oracle + 0.02,
                 "{}: measured {measured:.3} exceeds oracle {oracle:.3}",

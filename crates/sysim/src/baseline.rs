@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use mac_types::{AdaptConfig, MacPlacement, NetTopology};
 
 use crate::engine::{SimPool, SimRequest};
-use crate::experiment::ExperimentConfig;
+use crate::experiment::{run_workload, ExperimentConfig, RunOptions};
 use crate::report::RunReport;
 
 /// Format version of the `MACB` baseline file.
@@ -301,24 +301,18 @@ pub fn collect_timed_with_reference(
         let (stepped_micros, direct_micros) = if stepped_ref {
             let w = mac_workloads::by_name(&req.workload).expect("baseline workload registered");
             let start = std::time::Instant::now();
-            let stepped = crate::experiment::run_workload_stepped(
-                w.as_ref(),
-                &req.cfg,
-                None,
-                mac_metrics::MetricsHub::disabled(),
-            );
+            let stepped_opts = RunOptions {
+                stepped: true,
+                ..RunOptions::default()
+            };
+            let stepped = run_workload(w.as_ref(), &req.cfg, stepped_opts);
             let stepped_micros = start.elapsed().as_micros() as u64;
             assert_eq!(
                 stepped, report,
                 "{label}: stepped reference diverged from event-driven report"
             );
             let start = std::time::Instant::now();
-            let event = crate::experiment::run_workload_instrumented(
-                w.as_ref(),
-                &req.cfg,
-                None,
-                mac_metrics::MetricsHub::disabled(),
-            );
+            let event = run_workload(w.as_ref(), &req.cfg, RunOptions::default());
             let direct_micros = start.elapsed().as_micros() as u64;
             assert_eq!(
                 event, report,

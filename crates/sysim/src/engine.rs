@@ -58,7 +58,7 @@ use mac_types::{Fingerprint, Fnv128};
 use mac_workloads::{by_name, Workload};
 
 use crate::catalog;
-use crate::experiment::{run_workload_observed, ExperimentConfig, RunObservers};
+use crate::experiment::{run_workload, ExperimentConfig, RunObservers, RunOptions};
 use crate::figures::render_table;
 use crate::manifest::Experiment;
 use crate::report::RunReport;
@@ -453,13 +453,17 @@ impl SimPool {
             None => MetricsHub::disabled(),
         };
         self.executed.fetch_add(1, Ordering::Relaxed);
-        let obs = RunObservers {
+        let observers = RunObservers {
             tracer,
             metrics: metrics.clone(),
             profiler: self.profiler.clone(),
             progress: None,
         };
-        let report = run_workload_observed(w.as_ref(), &req.cfg, obs);
+        let opts = RunOptions {
+            observers,
+            ..RunOptions::default()
+        };
+        let report = run_workload(w.as_ref(), &req.cfg, opts);
         if let (Some(dir), Some(snap)) = (&self.metrics_dir, metrics.snapshot()) {
             let _ = std::fs::create_dir_all(dir);
             let stem = format!("{}-{:016x}", req.workload, fp as u64);
@@ -615,13 +619,17 @@ impl SimPool {
                     p.set_phase(PHASE_RUNNING);
                 }
                 self.executed.fetch_add(1, Ordering::Relaxed);
-                let obs = RunObservers {
+                let observers = RunObservers {
                     tracer: None,
                     metrics,
                     profiler: self.profiler.clone(),
                     progress: progress.clone(),
                 };
-                let report = run_workload_observed(w.as_ref(), &req.cfg, obs);
+                let opts = RunOptions {
+                    observers,
+                    ..RunOptions::default()
+                };
+                let report = run_workload(w.as_ref(), &req.cfg, opts);
                 self.store_cached(fp, &report);
                 self.memo
                     .lock()

@@ -60,75 +60,24 @@ impl Fingerprint for ExperimentConfig {
     }
 }
 
-/// Materialize a workload's traces as thread programs.
-fn programs_for(w: &dyn Workload, params: &WorkloadParams) -> Vec<Box<dyn ThreadProgram>> {
-    w.generate(params)
+/// Run one workload on one configuration. `opts` picks the observers
+/// and the run-loop mode; neither changes the report, and
+/// `RunOptions::default()` is the plain event-driven run with every
+/// observer off.
+pub fn run_workload(w: &dyn Workload, cfg: &ExperimentConfig, opts: RunOptions) -> RunReport {
+    let programs = w
+        .generate(&cfg.workload)
         .into_iter()
         .map(|ops| Box::new(ReplayProgram::new(ops)) as Box<dyn ThreadProgram>)
-        .collect()
-}
-
-/// Run one workload on one configuration.
-pub fn run_workload(w: &dyn Workload, cfg: &ExperimentConfig) -> RunReport {
-    run_workload_with(w, cfg, None)
-}
-
-/// Run one workload on one configuration, optionally attaching a
-/// telemetry tracer (the sim re-tags it per node via
-/// [`Tracer::for_node`]). Tracing never changes simulated behaviour, so
-/// the report is identical either way.
-pub fn run_workload_with(
-    w: &dyn Workload,
-    cfg: &ExperimentConfig,
-    tracer: Option<Tracer>,
-) -> RunReport {
-    run_workload_instrumented(w, cfg, tracer, MetricsHub::disabled())
-}
-
-/// Run one workload with both kinds of instrumentation: an optional
-/// telemetry tracer and a metrics hub (pass
-/// [`MetricsHub::disabled`] for none). Both are observational — the
-/// report is identical whatever is attached; an enabled hub fills with
-/// interval-sampled time-series the caller can
-/// [`MetricsHub::snapshot`] afterwards.
-pub fn run_workload_instrumented(
-    w: &dyn Workload,
-    cfg: &ExperimentConfig,
-    tracer: Option<Tracer>,
-    metrics: MetricsHub,
-) -> RunReport {
-    let obs = RunObservers {
-        tracer,
-        metrics,
-        ..RunObservers::default()
-    };
-    run_workload_mode(w, cfg, obs, false)
-}
-
-/// [`run_workload_instrumented`] forced onto the cycle-by-cycle
-/// reference loop instead of the event-driven fast path. Both modes
-/// produce byte-identical reports and metrics (DESIGN.md §14); this
-/// entry point exists so the golden equivalence tests can prove it.
-pub fn run_workload_stepped(
-    w: &dyn Workload,
-    cfg: &ExperimentConfig,
-    tracer: Option<Tracer>,
-    metrics: MetricsHub,
-) -> RunReport {
-    let obs = RunObservers {
-        tracer,
-        metrics,
-        ..RunObservers::default()
-    };
-    run_workload_mode(w, cfg, obs, true)
+        .collect();
+    simulate(&cfg.system, vec![programs], cfg.max_cycles, opts, None).0
 }
 
 /// The full set of observational attachments one run can carry. Every
 /// member is purely observational: attaching any combination never
 /// changes the [`RunReport`] and none of them enter any fingerprint.
 /// `Default` is the all-disabled bundle (no tracer, disabled hub,
-/// disabled profiler, no probe) — identical behaviour and overhead to
-/// the plain [`run_workload`] path.
+/// disabled profiler, no probe).
 #[derive(Default)]
 pub struct RunObservers {
     /// Optional telemetry tracer (re-tagged per node).
@@ -141,53 +90,42 @@ pub struct RunObservers {
     pub progress: Option<Arc<ProgressProbe>>,
 }
 
-/// Run one workload with the full observer bundle attached: tracer,
-/// metrics hub, host-side profiler, and live progress probe. This is
-/// the entry point mac-serve and the profiled engine path use; all the
-/// narrower `run_workload*` variants delegate here with the missing
-/// observers disabled.
-pub fn run_workload_observed(
-    w: &dyn Workload,
-    cfg: &ExperimentConfig,
-    obs: RunObservers,
-) -> RunReport {
-    run_workload_mode(w, cfg, obs, false)
+/// How one run executes: the observer bundle plus the run-loop mode.
+#[derive(Default)]
+pub struct RunOptions {
+    /// The observers to attach.
+    pub observers: RunObservers,
+    /// Tick every cycle (the reference loop) instead of skipping
+    /// provably idle spans. Both modes produce byte-identical reports,
+    /// traces, metrics and checker observations (DESIGN.md §14); the
+    /// reference mode exists so the equivalence tests can prove it.
+    pub stepped: bool,
 }
 
-fn run_workload_mode(
-    w: &dyn Workload,
-    cfg: &ExperimentConfig,
-    obs: RunObservers,
-    stepped: bool,
-) -> RunReport {
-    let programs = programs_for(w, &cfg.workload);
-    // Per-cube coalescer placement gets its own system loop; everything
-    // else (single device, host-side coalescing over a network) runs the
-    // classic `SystemSim` path.
-    if cfg.system.net.enabled && cfg.system.net.placement == MacPlacement::PerCube {
-        let mut sim = NetSystem::new(&cfg.system, programs);
-        if let Some(t) = obs.tracer {
-            sim.set_tracer(t);
-        }
-        sim.set_metrics(obs.metrics);
-        sim.set_profiler(obs.profiler);
-        if let Some(p) = obs.progress {
-            sim.set_progress(p);
-        }
-        sim.set_stepped(stepped);
-        return sim.run(cfg.max_cycles);
+/// Build the simulator `sys` selects for `programs` (one list per
+/// node), attach `opts` and `checker`, and run it for at most
+/// `max_cycles`. This is the one place that picks the per-cube
+/// [`NetSystem`] loop over the host-side [`SystemSim`] loop; everything
+/// else (single device, host-side coalescing over a network) runs the
+/// latter.
+fn simulate(
+    sys: &SystemConfig,
+    programs: Vec<Vec<Box<dyn ThreadProgram>>>,
+    max_cycles: u64,
+    opts: RunOptions,
+    checker: Option<ConformanceChecker>,
+) -> (RunReport, Option<ConformanceChecker>) {
+    if sys.net.enabled && sys.net.placement == MacPlacement::PerCube {
+        assert_eq!(
+            programs.len(),
+            1,
+            "per-cube placement models a single host node"
+        );
+        let programs = programs.into_iter().next().expect("one node");
+        NetSystem::new(sys, programs).run_with(max_cycles, opts, checker)
+    } else {
+        SystemSim::new_multi(sys, programs).run_with(max_cycles, opts, checker)
     }
-    let mut sim = SystemSim::new(&cfg.system, programs);
-    if let Some(t) = obs.tracer {
-        sim.set_tracer(t);
-    }
-    sim.set_metrics(obs.metrics);
-    sim.set_profiler(obs.profiler);
-    if let Some(p) = obs.progress {
-        sim.set_progress(p);
-    }
-    sim.set_stepped(stepped);
-    sim.run(cfg.max_cycles)
 }
 
 /// Outcome of a conformance-checked run: the ordinary report plus the
@@ -218,9 +156,10 @@ pub fn run_ops_checked(
     sys: &SystemConfig,
     ops_per_node: &[Vec<Vec<ThreadOp>>],
     max_cycles: u64,
+    opts: RunOptions,
 ) -> CheckedRun {
     let oracle = OracleReplay::replay(ops_per_node);
-    let programs: Vec<Vec<Box<dyn ThreadProgram>>> = ops_per_node
+    let programs = ops_per_node
         .iter()
         .map(|threads| {
             threads
@@ -229,22 +168,9 @@ pub fn run_ops_checked(
                 .collect()
         })
         .collect();
-    let (report, checker) = if sys.net.enabled && sys.net.placement == MacPlacement::PerCube {
-        assert_eq!(
-            programs.len(),
-            1,
-            "per-cube placement models a single host node"
-        );
-        let mut sim = NetSystem::new(sys, programs.into_iter().next().expect("one node"));
-        sim.set_checker(ConformanceChecker::new(sys));
-        let report = sim.run(max_cycles);
-        (report, sim.take_checker().expect("attached above"))
-    } else {
-        let mut sim = SystemSim::new_multi(sys, programs);
-        sim.set_checker(ConformanceChecker::new(sys));
-        let report = sim.run(max_cycles);
-        (report, sim.take_checker().expect("attached above"))
-    };
+    let checker = ConformanceChecker::new(sys);
+    let (report, checker) = simulate(sys, programs, max_cycles, opts, Some(checker));
+    let checker = checker.expect("attached above");
     let divergences = oracle.diff(&checker);
     CheckedRun {
         report,
@@ -257,16 +183,16 @@ pub fn run_ops_checked(
 /// attached and the oracle diffed (the `mac-bench fuzz --smoke` path).
 pub fn run_workload_checked(w: &dyn Workload, cfg: &ExperimentConfig) -> CheckedRun {
     let ops = vec![w.generate(&cfg.workload)];
-    run_ops_checked(&cfg.system, &ops, cfg.max_cycles)
+    run_ops_checked(&cfg.system, &ops, cfg.max_cycles, RunOptions::default())
 }
 
 /// Run one workload with and without the MAC (same traces, same device).
 /// Returns `(with_mac, without_mac)`.
 pub fn run_pair(w: &dyn Workload, cfg: &ExperimentConfig) -> (RunReport, RunReport) {
-    let with = run_workload(w, cfg);
+    let with = run_workload(w, cfg, RunOptions::default());
     let mut base_cfg = cfg.clone();
     base_cfg.system.mac_disabled = true;
-    let without = run_workload(w, &base_cfg);
+    let without = run_workload(w, &base_cfg, RunOptions::default());
     (with, without)
 }
 
@@ -294,35 +220,6 @@ where
                 .expect("result slot poisoned")
                 .expect("thread filled its slot")
         })
-        .collect()
-}
-
-/// Run every given workload (in parallel) against one configuration.
-pub fn run_all(
-    workloads: &[Box<dyn Workload>],
-    cfg: &ExperimentConfig,
-) -> Vec<(String, RunReport)> {
-    let inputs: Vec<&Box<dyn Workload>> = workloads.iter().collect();
-    let reports = parallel_map(inputs, |w| run_workload(w.as_ref(), cfg));
-    workloads
-        .iter()
-        .map(|w| w.name().to_string())
-        .zip(reports)
-        .collect()
-}
-
-/// Run with/without-MAC pairs for every workload, in parallel.
-pub fn run_all_pairs(
-    workloads: &[Box<dyn Workload>],
-    cfg: &ExperimentConfig,
-) -> Vec<(String, RunReport, RunReport)> {
-    let inputs: Vec<&Box<dyn Workload>> = workloads.iter().collect();
-    let pairs = parallel_map(inputs, |w| run_pair(w.as_ref(), cfg));
-    workloads
-        .iter()
-        .map(|w| w.name().to_string())
-        .zip(pairs)
-        .map(|(n, (a, b))| (n, a, b))
         .collect()
 }
 
@@ -357,14 +254,5 @@ mod tests {
     fn parallel_map_preserves_order() {
         let out = parallel_map(vec![3u64, 1, 4, 1, 5], |&x| x * 2);
         assert_eq!(out, vec![6, 2, 8, 2, 10]);
-    }
-
-    #[test]
-    fn run_all_labels_match_workloads() {
-        let ws: Vec<Box<dyn Workload>> = vec![Box::new(ScatterGather)];
-        let out = run_all(&ws, &small_cfg());
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, "sg");
-        assert!(out[0].1.soc.raw_requests > 0);
     }
 }

@@ -10,7 +10,7 @@ use mac_types::{bandwidth, MacConfig, PhysAddr, SystemConfig};
 use mac_workloads::{all_workloads, sg, WorkloadParams};
 
 use crate::engine::SimPool;
-use crate::experiment::{parallel_map, ExperimentConfig};
+use crate::experiment::{parallel_map, run_workload, ExperimentConfig, RunOptions};
 use crate::report::RunReport;
 
 /// Render rows of `(label, values...)` as an aligned text table.
@@ -309,7 +309,7 @@ pub fn fig17(pairs: &[(String, RunReport, RunReport)]) -> Vec<(String, f64)> {
 
 /// Convenience wrapper for single-workload smoke runs.
 pub fn run_named(name: &str, cfg: &ExperimentConfig) -> Option<RunReport> {
-    mac_workloads::by_name(name).map(|w| crate::experiment::run_workload(w.as_ref(), cfg))
+    mac_workloads::by_name(name).map(|w| run_workload(w.as_ref(), cfg, RunOptions::default()))
 }
 
 #[cfg(test)]

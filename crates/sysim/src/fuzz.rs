@@ -8,7 +8,9 @@
 //! hammers, with stores/atomics/fences mixed in), then runs the real
 //! simulator with the `mac-check` invariant checker attached and diffs
 //! the outcome against the timing-free functional oracle
-//! ([`crate::experiment::run_ops_checked`]).
+//! ([`crate::experiment::run_ops_checked`]). Each case also runs a second
+//! time on the cycle-stepped reference loop; a report that differs from
+//! the event-driven one is a `stepped≠event` failure ([`FuzzCase::run`]).
 //!
 //! A failing case is *shrunk* — nodes, threads, then operations are
 //! removed while the failure persists — and written to
@@ -31,7 +33,10 @@ use mac_types::{
 };
 use soc_sim::ThreadOp;
 
-use crate::experiment::{run_ops_checked, run_workload_checked, CheckedRun, ExperimentConfig};
+use crate::experiment::{
+    run_ops_checked, run_workload_checked, CheckedRun, ExperimentConfig, RunOptions,
+};
+use crate::report::RunReport;
 
 /// Knobs for one fuzzing campaign.
 #[derive(Debug, Clone)]
@@ -96,9 +101,21 @@ pub struct FuzzCase {
 }
 
 impl FuzzCase {
-    /// Run this case through the checked runner.
+    /// Run this case through the checked runner, then again on the
+    /// cycle-stepped reference loop. Any difference between the two
+    /// reports is recorded as a `stepped≠event` divergence, so mode
+    /// identity (DESIGN.md §14) is checked on every case.
     pub fn run(&self) -> CheckedRun {
-        run_ops_checked(&self.sys, &self.ops, self.max_cycles)
+        let mut run = run_ops_checked(&self.sys, &self.ops, self.max_cycles, RunOptions::default());
+        let stepped_opts = RunOptions {
+            stepped: true,
+            ..RunOptions::default()
+        };
+        let stepped = run_ops_checked(&self.sys, &self.ops, self.max_cycles, stepped_opts).report;
+        if stepped != run.report {
+            run.divergences.push(mode_divergence(&stepped, &run.report));
+        }
+        run
     }
 
     fn total_ops(&self) -> usize {
@@ -108,6 +125,29 @@ impl FuzzCase {
             .map(|t| t.len())
             .sum()
     }
+}
+
+/// Describe how the stepped reference report differs from the
+/// event-driven one, naming each differing part.
+fn mode_divergence(stepped: &RunReport, event: &RunReport) -> String {
+    let mut parts = Vec::new();
+    if stepped.cycles != event.cycles {
+        parts.push(format!("cycles {} vs {}", stepped.cycles, event.cycles));
+    }
+    for (name, differs) in [
+        ("soc", stepped.soc != event.soc),
+        ("mac", stepped.mac != event.mac),
+        ("hmc", stepped.hmc != event.hmc),
+        ("net", stepped.net != event.net),
+    ] {
+        if differs {
+            parts.push(format!("{name} stats differ"));
+        }
+    }
+    if parts.is_empty() {
+        parts.push("reports differ".into());
+    }
+    format!("stepped≠event: {}", parts.join(", "))
 }
 
 /// Summarize a checked run's failure as printable lines (empty = clean).

@@ -4,19 +4,28 @@
 //! response router → cores, cycle by cycle, plus the experiment engine
 //! that regenerates every figure and table of the paper.
 //!
-//! * [`system`] — [`SystemSim`]: one or more Figure 4 nodes (cores + MAC +
-//!   HMC) with an interconnect for remote accesses. Supports the paper's
-//!   baseline mode (`mac_disabled`) where raw 16 B requests go straight to
-//!   the device, and host-side coalescing over a multi-cube network
+//! * [`SystemSim`]: one or more Figure 4 nodes (cores + MAC + HMC) with
+//!   an interconnect for remote accesses. Supports the paper's baseline
+//!   mode (`mac_disabled`) where raw 16 B requests go straight to the
+//!   device, and host-side coalescing over a multi-cube network
 //!   (`config.net.enabled`).
-//! * [`netsystem`] — [`NetSystem`]: the per-cube coalescer placement
+//! * [`NetSystem`]: the per-cube coalescer placement
 //!   (`MacPlacement::PerCube`), where raw requests cross the cube fabric
 //!   and one MAC per cube merges them at ingress.
+//!
+//!   Both simulators are one run-loop driver over two fabrics: the loop
+//!   (idle-span skipping, observers, checker batches, adaptive-controller
+//!   boundaries) exists once, and only the per-cycle hardware differs.
+//!   They share the `set_stepped`, `set_tracer`, `set_metrics`,
+//!   `set_profiler`, `set_progress`, `set_checker`, `take_checker`,
+//!   `run`, `report` and `now` methods.
 //! * [`report`] — [`RunReport`]: merged SoC/MAC/HMC statistics with the
 //!   paper's derived metrics (Eq. 1–3) and the Figure 17 speedup
 //!   computation.
-//! * [`experiment`] — workload runners: with/without-MAC pairs and the
-//!   low-level building blocks the engine schedules.
+//! * [`experiment`] — the one run entry point [`run_workload`], whose
+//!   [`RunOptions`] carry the observer bundle and the stepped reference
+//!   mode; plus with/without-MAC pairs and the conformance-checked
+//!   runners.
 //! * [`engine`] — the parallel experiment engine: work-stealing
 //!   [`engine::SimPool`], content-addressed result cache, deterministic
 //!   artifact output (`--jobs 8` is byte-identical to `--jobs 1`).
@@ -28,7 +37,8 @@
 //! * [`fuzz`] — the differential conformance fuzzer behind
 //!   `mac-bench fuzz`: seeded random configs × adversarial address
 //!   streams run with the `mac-check` invariant checker attached and
-//!   diffed against the functional oracle, with failing cases shrunk to
+//!   diffed against the functional oracle and against the same case on
+//!   the cycle-stepped reference loop, with failing cases shrunk to
 //!   minimal reproducers.
 //! * [`cachefmt`] — the versioned text formats for cached results.
 //! * [`figures`] — one function per paper figure/table returning raw rows.
@@ -39,22 +49,23 @@ pub mod analyzer;
 pub mod baseline;
 pub mod cachefmt;
 pub mod catalog;
+mod driver;
 pub mod engine;
 pub mod experiment;
 pub mod figures;
 pub mod fuzz;
 pub mod manifest;
-pub mod netsystem;
+mod netsystem;
 pub mod progress;
 pub mod report;
-pub mod system;
+mod system;
 
 pub use analyzer::{analyze, TraceAnalysis};
 pub use baseline::{Baseline, BaselineCheck};
 pub use engine::{run_experiments, Artifact, EngineOptions, EngineRun, SimPool, SimRequest};
 pub use experiment::{
-    run_ops_checked, run_pair, run_workload, run_workload_checked, run_workload_observed,
-    CheckedRun, ExperimentConfig, RunObservers,
+    run_ops_checked, run_pair, run_workload, run_workload_checked, CheckedRun, ExperimentConfig,
+    RunObservers, RunOptions,
 };
 pub use fuzz::{run_fuzz, FuzzOptions, FuzzReport};
 pub use manifest::{manifest, select, Experiment};

@@ -26,12 +26,10 @@
 use mac_metrics::MetricsHub;
 use mac_sim::baseline::baseline_requests;
 use mac_sim::engine::{SimPool, SimRequest};
-use mac_sim::experiment::{
-    run_workload, run_workload_instrumented, run_workload_stepped, ExperimentConfig,
-};
+use mac_sim::experiment::{run_workload, ExperimentConfig, RunObservers, RunOptions};
 use mac_sim::fuzz::{run_fuzz, FuzzOptions};
 use mac_sim::report::RunReport;
-use mac_sim::system::SystemSim;
+use mac_sim::SystemSim;
 use mac_telemetry::{RingSink, TraceEvent, TraceRecord, Tracer};
 use mac_types::{AdaptConfig, MacPlacement, MemOpKind, NetTopology, PhysAddr};
 use mac_workloads::by_name;
@@ -113,8 +111,8 @@ fn identity_bounds_adaptation_is_behavior_neutral() {
             evidence_threshold: 1,
             hold_intervals: 0,
         };
-        let disabled = run_workload(w.as_ref(), &cfg);
-        let mut adaptive = run_workload(w.as_ref(), &pinned);
+        let disabled = run_workload(w.as_ref(), &cfg, RunOptions::default());
+        let mut adaptive = run_workload(w.as_ref(), &pinned, RunOptions::default());
         assert_ne!(
             disabled.config, adaptive.config,
             "{label}: the configs must genuinely differ"
@@ -147,22 +145,28 @@ fn assert_adaptive_modes_identical(
     let stepped_hub = MetricsHub::new(interval);
     let stepped_sink = RingSink::new(1 << 16);
     let stepped_ring = stepped_sink.handle();
-    let stepped = run_workload_stepped(
-        w.as_ref(),
-        cfg,
-        Some(Tracer::new(stepped_sink)),
-        stepped_hub.clone(),
-    );
+    let stepped_opts = RunOptions {
+        observers: RunObservers {
+            tracer: Some(Tracer::new(stepped_sink)),
+            metrics: stepped_hub.clone(),
+            ..RunObservers::default()
+        },
+        stepped: true,
+    };
+    let stepped = run_workload(w.as_ref(), cfg, stepped_opts);
 
     let event_hub = MetricsHub::new(interval);
     let event_sink = RingSink::new(1 << 16);
     let event_ring = event_sink.handle();
-    let event = run_workload_instrumented(
-        w.as_ref(),
-        cfg,
-        Some(Tracer::new(event_sink)),
-        event_hub.clone(),
-    );
+    let event_opts = RunOptions {
+        observers: RunObservers {
+            tracer: Some(Tracer::new(event_sink)),
+            metrics: event_hub.clone(),
+            ..RunObservers::default()
+        },
+        stepped: false,
+    };
+    let event = run_workload(w.as_ref(), cfg, event_opts);
 
     assert_eq!(
         stepped, event,

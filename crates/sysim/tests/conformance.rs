@@ -4,7 +4,7 @@
 
 use mac_check::{ConformanceChecker, FinishProbe, StatsProbe};
 use mac_sim::fuzz::{decode_reproducer, encode_reproducer, FuzzCase, FuzzOptions};
-use mac_sim::{run_fuzz, run_ops_checked};
+use mac_sim::{run_fuzz, run_ops_checked, RunOptions};
 use mac_types::{
     FlitMap, HmcRequest, MacPlacement, MemOpKind, NetTopology, NodeId, PhysAddr, RawRequest,
     ReqSize, SystemConfig, Target, TransactionId,
@@ -53,7 +53,12 @@ fn fence_heavy_ops(threads: usize) -> Vec<Vec<ThreadOp>> {
 fn fence_ordering_holds_under_host_placement() {
     let mut sys = SystemConfig::paper(4);
     sys.mac.bypass_enabled = true;
-    let run = run_ops_checked(&sys, &[fence_heavy_ops(4)], 1_000_000);
+    let run = run_ops_checked(
+        &sys,
+        &[fence_heavy_ops(4)],
+        1_000_000,
+        RunOptions::default(),
+    );
     assert!(
         run.is_clean(),
         "violations: {:?}\ndivergences: {:?}",
@@ -69,7 +74,12 @@ fn fence_ordering_holds_under_host_placement() {
 #[test]
 fn fence_ordering_holds_under_per_cube_placement() {
     let sys = SystemConfig::paper(4).with_net(2, NetTopology::DaisyChain, MacPlacement::PerCube);
-    let run = run_ops_checked(&sys, &[fence_heavy_ops(4)], 1_000_000);
+    let run = run_ops_checked(
+        &sys,
+        &[fence_heavy_ops(4)],
+        1_000_000,
+        RunOptions::default(),
+    );
     assert!(
         run.is_clean(),
         "violations: {:?}\ndivergences: {:?}",
@@ -86,7 +96,12 @@ fn fence_ordering_holds_under_per_cube_placement() {
 fn fence_ordering_holds_in_baseline_mode() {
     let mut sys = SystemConfig::paper(2);
     sys.mac_disabled = true;
-    let run = run_ops_checked(&sys, &[fence_heavy_ops(2)], 1_000_000);
+    let run = run_ops_checked(
+        &sys,
+        &[fence_heavy_ops(2)],
+        1_000_000,
+        RunOptions::default(),
+    );
     assert!(
         run.is_clean(),
         "violations: {:?}\ndivergences: {:?}",

@@ -16,11 +16,22 @@
 
 use mac_metrics::MetricsHub;
 use mac_sim::baseline::baseline_requests;
-use mac_sim::experiment::{run_workload_instrumented, run_workload_stepped, ExperimentConfig};
+use mac_sim::experiment::{run_workload, ExperimentConfig, RunObservers, RunOptions};
 use mac_sim::fuzz::{run_fuzz, FuzzOptions};
 use mac_sim::report::RunReport;
 use mac_types::{MacPlacement, MemBackend, NetTopology};
 use mac_workloads::by_name;
+
+/// Options attaching only `metrics`, in the given run-loop mode.
+fn sampled(metrics: MetricsHub, stepped: bool) -> RunOptions {
+    RunOptions {
+        observers: RunObservers {
+            metrics,
+            ..RunObservers::default()
+        },
+        stepped,
+    }
+}
 
 /// Run `workload` under `cfg` in both modes, with a metrics hub
 /// sampling every `interval` cycles in each, and assert the reports and
@@ -29,10 +40,10 @@ fn assert_modes_identical(workload: &str, cfg: &ExperimentConfig, interval: u64)
     let w = by_name(workload).expect("workload registered");
 
     let stepped_hub = MetricsHub::new(interval);
-    let stepped = run_workload_stepped(w.as_ref(), cfg, None, stepped_hub.clone());
+    let stepped = run_workload(w.as_ref(), cfg, sampled(stepped_hub.clone(), true));
 
     let event_hub = MetricsHub::new(interval);
-    let event = run_workload_instrumented(w.as_ref(), cfg, None, event_hub.clone());
+    let event = run_workload(w.as_ref(), cfg, sampled(event_hub.clone(), false));
 
     assert_eq!(
         stepped, event,
@@ -125,9 +136,9 @@ fn idle_heavy_entry_is_cycle_exact_under_fine_sampling() {
     let w = by_name("gups").expect("workload");
 
     let stepped_hub = MetricsHub::new(1);
-    let stepped = run_workload_stepped(w.as_ref(), &cfg, None, stepped_hub.clone());
+    let stepped = run_workload(w.as_ref(), &cfg, sampled(stepped_hub.clone(), true));
     let event_hub = MetricsHub::new(1);
-    let event = run_workload_instrumented(w.as_ref(), &cfg, None, event_hub.clone());
+    let event = run_workload(w.as_ref(), &cfg, sampled(event_hub.clone(), false));
     assert_eq!(stepped, event);
     assert_eq!(
         stepped_hub.snapshot().expect("sampled").to_csv(),

@@ -7,9 +7,20 @@ use std::path::PathBuf;
 
 use mac_metrics::{MetricsHub, MetricsSnapshot};
 use mac_sim::engine::{SimPool, SimRequest};
-use mac_sim::experiment::{run_workload_instrumented, run_workload_with, ExperimentConfig};
+use mac_sim::experiment::{run_workload, ExperimentConfig, RunObservers, RunOptions};
 use mac_types::{MacPlacement, NetTopology};
 use mac_workloads::by_name;
+
+/// Options attaching only `metrics`.
+fn sampled_by(metrics: MetricsHub) -> RunOptions {
+    RunOptions {
+        observers: RunObservers {
+            metrics,
+            ..RunObservers::default()
+        },
+        ..RunOptions::default()
+    }
+}
 
 /// A unique scratch directory per test (removed on entry so reruns start
 /// cold).
@@ -99,9 +110,9 @@ fn metrics_files_are_byte_identical_across_job_counts() {
 fn enabled_metrics_do_not_perturb_the_simulation() {
     let cfg = small_cfg();
     let w = by_name("sg").expect("sg workload exists");
-    let plain = run_workload_with(w.as_ref(), &cfg, None);
+    let plain = run_workload(w.as_ref(), &cfg, RunOptions::default());
     let hub = MetricsHub::new(10_000);
-    let sampled = run_workload_instrumented(w.as_ref(), &cfg, None, hub.clone());
+    let sampled = run_workload(w.as_ref(), &cfg, sampled_by(hub.clone()));
     assert_eq!(plain, sampled, "sampling must be purely observational");
     let snap = hub.snapshot().expect("enabled hub snapshots");
     assert!(!snap.series.is_empty());
@@ -119,9 +130,9 @@ fn enabled_metrics_do_not_perturb_the_simulation() {
 fn disabled_hub_matches_the_uninstrumented_path() {
     let cfg = small_cfg();
     let w = by_name("stream").expect("stream workload exists");
-    let plain = run_workload_with(w.as_ref(), &cfg, None);
+    let plain = run_workload(w.as_ref(), &cfg, RunOptions::default());
     let hub = MetricsHub::disabled();
-    let report = run_workload_instrumented(w.as_ref(), &cfg, None, hub.clone());
+    let report = run_workload(w.as_ref(), &cfg, sampled_by(hub.clone()));
     assert_eq!(plain, report);
     assert!(hub.snapshot().is_none(), "disabled hub records nothing");
 }

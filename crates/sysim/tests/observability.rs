@@ -9,10 +9,10 @@ use std::sync::Arc;
 use mac_metrics::MetricsHub;
 use mac_sim::engine::{SimPool, SimRequest};
 use mac_sim::{
-    phase_name, run_workload, run_workload_observed, ExperimentConfig, ProgressProbe, RunObservers,
-    PHASE_DONE,
+    phase_name, run_workload, ExperimentConfig, ProgressProbe, RunObservers, RunOptions, PHASE_DONE,
 };
 use mac_telemetry::Profiler;
+use mac_types::{MacPlacement, NetTopology};
 use mac_workloads::sg::ScatterGather;
 
 fn small_cfg() -> ExperimentConfig {
@@ -25,17 +25,21 @@ fn small_cfg() -> ExperimentConfig {
 #[test]
 fn profiling_never_changes_the_report() {
     let cfg = small_cfg();
-    let plain = run_workload(&ScatterGather, &cfg);
+    let plain = run_workload(&ScatterGather, &cfg, RunOptions::default());
 
     let profiler = Profiler::enabled();
     let probe = Arc::new(ProgressProbe::new());
-    let obs = RunObservers {
+    let observers = RunObservers {
         tracer: None,
         metrics: MetricsHub::new(10_000),
         profiler: profiler.clone(),
         progress: Some(Arc::clone(&probe)),
     };
-    let observed = run_workload_observed(&ScatterGather, &cfg, obs);
+    let opts = RunOptions {
+        observers,
+        ..RunOptions::default()
+    };
+    let observed = run_workload(&ScatterGather, &cfg, opts);
 
     assert_eq!(plain, observed, "observers must be purely observational");
 
@@ -50,6 +54,39 @@ fn profiling_never_changes_the_report() {
     assert_eq!(phase, PHASE_DONE);
     assert_eq!(cycles, observed.cycles);
     assert_eq!(retired, observed.soc.completions);
+}
+
+#[test]
+fn per_cube_run_exports_netsystem_phases() {
+    // Per-cube placement runs the NetSystem fabric, whose run-loop
+    // phases are exported under their own `netsystem/run/*` paths.
+    let mut cfg = small_cfg();
+    cfg.system = cfg
+        .system
+        .with_net(2, NetTopology::DaisyChain, MacPlacement::PerCube);
+    let plain = run_workload(&ScatterGather, &cfg, RunOptions::default());
+
+    let profiler = Profiler::enabled();
+    let opts = RunOptions {
+        observers: RunObservers {
+            profiler: profiler.clone(),
+            ..RunObservers::default()
+        },
+        ..RunOptions::default()
+    };
+    let profiled = run_workload(&ScatterGather, &cfg, opts);
+    assert_eq!(plain, profiled, "profiling must be purely observational");
+
+    let text = profiler.export_text().expect("enabled profiler exports");
+    assert!(text.contains("span netsystem/run/step count="), "{text}");
+    assert!(
+        text.contains("span netsystem/run/event_scan count="),
+        "{text}"
+    );
+    assert!(
+        !text.lines().any(|l| l.starts_with("span system/run/")),
+        "a per-cube run never enters the host loop: {text}"
+    );
 }
 
 #[test]

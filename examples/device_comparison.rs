@@ -27,7 +27,7 @@ fn main() {
             cfg.workload.scale = scale;
             cfg.system.backend = backend;
             cfg.system.mac_disabled = !mac_on;
-            let r = run_workload(&w, &cfg);
+            let r = run_workload(&w, &cfg, RunOptions::default());
             println!(
                 "{:<6} {:<8} {:>12} {:>12} {:>12} {:>10.0}",
                 format!("{backend:?}"),

@@ -29,7 +29,7 @@ fn main() {
         ("nas-sp", Box::new(nas::Sp)),
     ];
     for (label, w) in &kernels {
-        let r = run_workload(w.as_ref(), &cfg);
+        let r = run_workload(w.as_ref(), &cfg, RunOptions::default());
         println!(
             "{:<8} {:>12} {:>12} {:>10.2}% {:>13.2}%",
             label,
@@ -48,7 +48,7 @@ fn main() {
     for entries in [8usize, 16, 32, 64] {
         let mut c = cfg.clone();
         c.system.mac.arq_entries = entries;
-        let r = run_workload(&hpcg::Hpcg, &c);
+        let r = run_workload(&hpcg::Hpcg, &c, RunOptions::default());
         println!(
             "{:<12} {:>10.2}% {:>14.1}",
             entries,

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use cache_model::{Cache, CacheConfig, MshrFile};
     pub use hmc_model::HmcDevice;
     pub use mac_coalescer::{Mac, MacEvent};
-    pub use mac_sim::experiment::{run_pair, run_workload, ExperimentConfig};
+    pub use mac_sim::experiment::{run_pair, run_workload, ExperimentConfig, RunOptions};
     pub use mac_sim::{RunReport, SystemSim};
     pub use mac_types::{
         FlitMap, HmcConfig, MacConfig, MemOpKind, PhysAddr, RawRequest, ReqSize, SocConfig,

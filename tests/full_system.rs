@@ -68,7 +68,7 @@ fn mac_reduces_transactions_everywhere() {
 fn device_satisfies_exactly_the_issued_requests() {
     let cfg = small_cfg(4);
     for w in all_workloads().into_iter().take(4) {
-        let r = run_workload(w.as_ref(), &cfg);
+        let r = run_workload(w.as_ref(), &cfg, RunOptions::default());
         // Fences never reach the device.
         let expected = r.soc.raw_requests - r.mac.raw_fences;
         assert_eq!(r.hmc.raw_satisfied, expected, "{}", w.name());
@@ -81,7 +81,7 @@ fn device_satisfies_exactly_the_issued_requests() {
 fn bandwidth_efficiency_stays_within_analytic_bounds() {
     let cfg = small_cfg(8);
     for w in all_workloads() {
-        let r = run_workload(w.as_ref(), &cfg);
+        let r = run_workload(w.as_ref(), &cfg, RunOptions::default());
         let eff = r.bandwidth_efficiency();
         assert!(eff >= 1.0 / 3.0 - 1e-9, "{}: {eff}", w.name());
         assert!(eff <= 256.0 / 288.0 + 1e-9, "{}: {eff}", w.name());
@@ -97,7 +97,7 @@ fn coalescing_improves_with_thread_count() {
         let ws = all_workloads();
         let total: f64 = ws
             .iter()
-            .map(|w| run_workload(w.as_ref(), &cfg).coalescing_efficiency())
+            .map(|w| run_workload(w.as_ref(), &cfg, RunOptions::default()).coalescing_efficiency())
             .sum();
         total / ws.len() as f64
     };
@@ -190,10 +190,10 @@ fn row_hits_only_on_open_page_backend() {
     let mut cfg = ExperimentConfig::paper(8);
     cfg.workload.scale = 1;
     let w = by_name("sp").unwrap(); // strongly row-local line sweeps
-    let hmc = run_workload(w.as_ref(), &cfg);
+    let hmc = run_workload(w.as_ref(), &cfg, RunOptions::default());
     assert_eq!(hmc.hmc.row_hits, 0, "HMC is closed-page");
     cfg.system = cfg.system.with_hbm();
-    let hbm = run_workload(w.as_ref(), &cfg);
+    let hbm = run_workload(w.as_ref(), &cfg, RunOptions::default());
     assert!(hbm.hmc.row_hits > 0, "HBM open-page should hit rows");
 }
 
@@ -205,7 +205,7 @@ fn ddr_baseline_harvests_row_hits() {
     cfg.workload.scale = 1;
     cfg.system = cfg.system.with_ddr().without_mac();
     let w = by_name("sp").unwrap();
-    let r = run_workload(w.as_ref(), &cfg);
+    let r = run_workload(w.as_ref(), &cfg, RunOptions::default());
     assert_eq!(r.soc.raw_requests, r.soc.completions);
     assert!(
         r.hmc.row_hits * 2 > r.hmc.accesses(),

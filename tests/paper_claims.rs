@@ -105,7 +105,7 @@ fn figure10_mean_efficiency_in_band() {
     let ws = all_workloads();
     let mean: f64 = ws
         .iter()
-        .map(|w| run_workload(w.as_ref(), &cfg).coalescing_efficiency())
+        .map(|w| run_workload(w.as_ref(), &cfg, RunOptions::default()).coalescing_efficiency())
         .sum::<f64>()
         / ws.len() as f64;
     assert!(
@@ -123,7 +123,7 @@ fn figure13_bandwidth_doubles() {
     let ws = all_workloads();
     let mean: f64 = ws
         .iter()
-        .map(|w| run_workload(w.as_ref(), &cfg).bandwidth_efficiency())
+        .map(|w| run_workload(w.as_ref(), &cfg, RunOptions::default()).bandwidth_efficiency())
         .sum::<f64>()
         / ws.len() as f64;
     assert!(
@@ -160,7 +160,7 @@ fn figure15_targets_fit_entries() {
     let mut cfg = ExperimentConfig::paper(8);
     cfg.workload.scale = 1;
     for w in all_workloads() {
-        let r = run_workload(w.as_ref(), &cfg);
+        let r = run_workload(w.as_ref(), &cfg, RunOptions::default());
         let avg = r.mac.targets_per_entry.mean();
         assert!(avg >= 1.0, "{}", w.name());
         assert!(avg <= 12.0, "{}: {avg}", w.name());
@@ -174,8 +174,16 @@ fn figure15_targets_fit_entries() {
 fn stream_and_gups_bracket_the_suite() {
     let mut cfg = ExperimentConfig::paper(8);
     cfg.workload.scale = 1;
-    let stream = run_workload(&mac_repro::workloads::micro::StreamTriad, &cfg);
-    let gups = run_workload(&mac_repro::workloads::micro::Gups, &cfg);
+    let stream = run_workload(
+        &mac_repro::workloads::micro::StreamTriad,
+        &cfg,
+        RunOptions::default(),
+    );
+    let gups = run_workload(
+        &mac_repro::workloads::micro::Gups,
+        &cfg,
+        RunOptions::default(),
+    );
     assert!(
         stream.coalescing_efficiency() > 0.40,
         "STREAM should coalesce heavily: {:.3}",
