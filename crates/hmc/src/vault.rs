@@ -11,11 +11,10 @@
 use crate::addrmap::BankAddr;
 use mac_telemetry::{TraceEvent, Tracer};
 use mac_types::{Cycle, HmcConfig};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Outcome of scheduling one access at a vault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VaultSchedule {
     /// Cycle the DRAM row cycle starts.
     pub start: Cycle,
@@ -27,7 +26,7 @@ pub struct VaultSchedule {
 }
 
 /// State of all vaults and banks of the cube.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VaultSet {
     /// Earliest free cycle per bank (flat index).
     bank_free: Vec<Cycle>,

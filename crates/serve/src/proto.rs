@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use mac_types::JobId;
+use mac_types::{json, JobId};
 
 use crate::job::{JobSpec, JobState};
 
@@ -76,24 +76,6 @@ impl Scalar {
 /// One parsed MACS-1 message: a flat map of scalar fields.
 pub type Fields = BTreeMap<String, Scalar>;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Encode a field map as one line of flat JSON (no trailing newline).
 /// Fields are emitted in sorted order, so encoding is deterministic.
 pub fn encode_fields(fields: &Fields) -> String {
@@ -104,10 +86,10 @@ pub fn encode_fields(fields: &Fields) -> String {
             out.push(',');
         }
         first = false;
-        let _ = write!(out, "\"{}\":", json_escape(k));
+        let _ = write!(out, "\"{}\":", json::escape(k));
         match v {
             Scalar::Str(s) => {
-                let _ = write!(out, "\"{}\"", json_escape(s));
+                let _ = write!(out, "\"{}\"", json::escape(s));
             }
             Scalar::Num(n) => {
                 let _ = write!(out, "{n}");
@@ -721,7 +703,10 @@ mod tests {
     #[test]
     fn flat_json_round_trips() {
         let mut f = Fields::new();
-        f.insert("a".into(), Scalar::Str("x \"quoted\"\nline".into()));
+        f.insert(
+            "a".into(),
+            Scalar::Str("x \"quoted\"\nline\ttab \u{1} é".into()),
+        );
         f.insert("b".into(), Scalar::Num(42));
         f.insert("c".into(), Scalar::Bool(true));
         let line = encode_fields(&f);

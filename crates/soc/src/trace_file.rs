@@ -14,7 +14,6 @@
 //! operation (capped at `u16::MAX`; longer gaps split into NOP records
 //! with kind 255).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mac_types::{MemOpKind, PhysAddr};
 
 use crate::program::ThreadOp;
@@ -29,11 +28,11 @@ const KIND_SPM: u8 = 4;
 const KIND_GAP: u8 = 255;
 
 /// Serialize per-thread operation lists into the trace format.
-pub fn encode_trace(threads: &[Vec<ThreadOp>]) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u16_le(threads.len() as u16);
+pub fn encode_trace(threads: &[Vec<ThreadOp>]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(threads.len() as u16).to_le_bytes());
     for ops in threads {
         // First pass: fold Compute into the gap of the following record.
         let mut records: Vec<(u8, u16, u64)> = Vec::new();
@@ -61,15 +60,14 @@ pub fn encode_trace(threads: &[Vec<ThreadOp>]) -> Bytes {
             records.push((KIND_GAP, g, 0));
             gap -= g as u64;
         }
-        buf.put_u64_le(records.len() as u64);
+        buf.extend_from_slice(&(records.len() as u64).to_le_bytes());
         for (kind, g, addr) in records {
-            buf.put_u8(kind);
-            buf.put_u8(0);
-            buf.put_u16_le(g);
-            buf.put_u64_le(addr);
+            buf.extend_from_slice(&[kind, 0]);
+            buf.extend_from_slice(&g.to_le_bytes());
+            buf.extend_from_slice(&addr.to_le_bytes());
         }
     }
-    buf.freeze()
+    buf
 }
 
 fn push_record(records: &mut Vec<(u8, u16, u64)>, kind: u8, gap: &mut u64, addr: u64) {
@@ -81,36 +79,43 @@ fn push_record(records: &mut Vec<(u8, u16, u64)>, kind: u8, gap: &mut u64, addr:
     *gap = 0;
 }
 
+/// Split the first `N` bytes off the front of `raw`. Callers check the
+/// remaining length first.
+fn take<const N: usize>(raw: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = raw.split_at(N);
+    *raw = rest;
+    head.try_into().expect("split_at returns N bytes")
+}
+
 /// Deserialize a trace produced by [`encode_trace`].
-pub fn decode_trace(mut raw: Bytes) -> Result<Vec<Vec<ThreadOp>>, String> {
-    if raw.remaining() < 8 {
+pub fn decode_trace(mut raw: &[u8]) -> Result<Vec<Vec<ThreadOp>>, String> {
+    if raw.len() < 8 {
         return Err("truncated header".into());
     }
-    let mut magic = [0u8; 4];
-    raw.copy_to_slice(&mut magic);
+    let magic: [u8; 4] = take(&mut raw);
     if &magic != MAGIC {
         return Err(format!("bad magic {magic:?}"));
     }
-    let version = raw.get_u16_le();
+    let version = u16::from_le_bytes(take(&mut raw));
     if version != VERSION {
         return Err(format!("unsupported version {version}"));
     }
-    let threads = raw.get_u16_le() as usize;
+    let threads = u16::from_le_bytes(take(&mut raw)) as usize;
     let mut out = Vec::with_capacity(threads);
     for t in 0..threads {
-        if raw.remaining() < 8 {
+        if raw.len() < 8 {
             return Err(format!("truncated thread {t} header"));
         }
-        let n = raw.get_u64_le() as usize;
-        if raw.remaining() < n * 12 {
-            return Err(format!("truncated thread {t} records"));
+        let n = u64::from_le_bytes(take(&mut raw));
+        match n.checked_mul(12) {
+            Some(len) if len <= raw.len() as u64 => {}
+            _ => return Err(format!("truncated thread {t} records")),
         }
-        let mut ops = Vec::with_capacity(n);
+        let mut ops = Vec::with_capacity(n as usize);
         for _ in 0..n {
-            let kind = raw.get_u8();
-            let _pad = raw.get_u8();
-            let gap = raw.get_u16_le() as u64;
-            let addr = raw.get_u64_le();
+            let [kind, _pad, g0, g1] = take(&mut raw);
+            let gap = u16::from_le_bytes([g0, g1]) as u64;
+            let addr = u64::from_le_bytes(take(&mut raw));
             if gap > 0 {
                 ops.push(ThreadOp::Compute(gap));
             }
@@ -145,7 +150,7 @@ pub fn write_trace_file(path: &std::path::Path, threads: &[Vec<ThreadOp>]) -> st
 /// Read a trace from a file.
 pub fn read_trace_file(path: &std::path::Path) -> Result<Vec<Vec<ThreadOp>>, String> {
     let raw = std::fs::read(path).map_err(|e| e.to_string())?;
-    decode_trace(Bytes::from(raw))
+    decode_trace(&raw)
 }
 
 #[cfg(test)]
@@ -183,7 +188,7 @@ mod tests {
     #[test]
     fn round_trip_preserves_operations() {
         let original = sample();
-        let decoded = decode_trace(encode_trace(&original)).unwrap();
+        let decoded = decode_trace(&encode_trace(&original)).unwrap();
         assert_eq!(decoded.len(), 2);
         // Compute ops may be re-folded but the memory operations and their
         // preceding gaps must match exactly.
@@ -208,7 +213,7 @@ mod tests {
                 kind: MemOpKind::Load,
             },
         ]];
-        let decoded = decode_trace(encode_trace(&original)).unwrap();
+        let decoded = decode_trace(&encode_trace(&original)).unwrap();
         let total: u64 = decoded[0]
             .iter()
             .filter_map(|op| match op {
@@ -228,13 +233,18 @@ mod tests {
 
     #[test]
     fn rejects_corruption() {
-        assert!(decode_trace(Bytes::from_static(b"oops")).is_err());
-        let mut good = BytesMut::from(&encode_trace(&sample())[..]);
+        assert!(decode_trace(b"oops").is_err());
+        // A record count whose byte length wraps a u64 multiply to 8.
+        let mut wrap = b"MACT\x01\x00\x01\x00".to_vec();
+        wrap.extend_from_slice(&0x1555_5555_5555_5556u64.to_le_bytes());
+        wrap.extend_from_slice(&[0; 8]);
+        assert!(decode_trace(&wrap).is_err());
+        let mut good = encode_trace(&sample());
         good[0] = b'X';
-        assert!(decode_trace(good.freeze()).is_err());
+        assert!(decode_trace(&good).is_err());
         // Truncation.
         let enc = encode_trace(&sample());
-        assert!(decode_trace(enc.slice(0..enc.len() - 4)).is_err());
+        assert!(decode_trace(&enc[..enc.len() - 4]).is_err());
     }
 
     #[test]
@@ -250,7 +260,7 @@ mod tests {
 
     #[test]
     fn empty_trace_round_trips() {
-        let decoded = decode_trace(encode_trace(&[])).unwrap();
+        let decoded = decode_trace(&encode_trace(&[])).unwrap();
         assert!(decoded.is_empty());
     }
 }

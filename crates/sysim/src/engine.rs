@@ -54,7 +54,7 @@ use std::sync::Mutex;
 
 use mac_metrics::MetricsHub;
 use mac_telemetry::{BinarySink, ProfSnapshot, Profiler, Tracer};
-use mac_types::{Fingerprint, Fnv128};
+use mac_types::{json, Fingerprint, Fnv128};
 use mac_workloads::{by_name, Workload};
 
 use crate::catalog;
@@ -119,22 +119,6 @@ pub struct Artifact {
     pub rows: Vec<Vec<String>>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn csv_escape(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') {
         format!("\"{}\"", s.replace('"', "\"\""))
@@ -182,13 +166,16 @@ impl Artifact {
     /// header order), so it participates in the byte-identity guarantee.
     pub fn json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"title\": \"{}\",\n", json_escape(&self.title)));
+        out.push_str(&format!(
+            "  \"title\": \"{}\",\n",
+            json::escape(&self.title)
+        ));
         out.push_str("  \"notes\": [");
         out.push_str(
             &self
                 .notes
                 .iter()
-                .map(|n| format!("\"{}\"", json_escape(n)))
+                .map(|n| format!("\"{}\"", json::escape(n)))
                 .collect::<Vec<_>>()
                 .join(", "),
         );
@@ -197,7 +184,7 @@ impl Artifact {
             &self
                 .header
                 .iter()
-                .map(|h| format!("\"{}\"", json_escape(h)))
+                .map(|h| format!("\"{}\"", json::escape(h)))
                 .collect::<Vec<_>>()
                 .join(", "),
         );
@@ -210,7 +197,7 @@ impl Artifact {
                     .header
                     .iter()
                     .zip(row)
-                    .map(|(h, c)| format!("\"{}\": \"{}\"", json_escape(h), json_escape(c)))
+                    .map(|(h, c)| format!("\"{}\": \"{}\"", json::escape(h), json::escape(c)))
                     .collect();
                 format!("    {{{}}}", fields.join(", "))
             })

@@ -12,6 +12,8 @@
 
 use std::fmt::Write as _;
 
+use mac_types::json;
+
 use crate::event::{TraceEvent, TraceRecord, POP_BUILDER, POP_BYPASS, POP_FENCE};
 use crate::profiler::ProfSnapshot;
 
@@ -500,6 +502,7 @@ fn instant(
     label: Option<&str>,
 ) {
     let a = args_json(args, label);
+    let name = json::escape(name);
     emit_obj(out, first, |o| {
         let _ = write!(
             o,
@@ -522,6 +525,7 @@ fn span(
 ) {
     let dur = done.saturating_sub(start).max(1);
     let a = args_json(args, None);
+    let name = json::escape(name);
     emit_obj(out, first, |o| {
         let _ = write!(
             o,
@@ -532,6 +536,7 @@ fn span(
 }
 
 fn counter(out: &mut String, first: &mut bool, pid: u32, ts: u64, name: &str, value: u64) {
+    let name = json::escape(name);
     emit_obj(out, first, |o| {
         let _ = write!(
             o,
@@ -647,7 +652,8 @@ pub fn export_merged(
                 o,
                 "{{\"ph\":\"X\",\"name\":\"{}\",\"pid\":{PID_HOST},\"tid\":{},\"ts\":{ts},\
                  \"dur\":{dur},\"args\":{{}}}}",
-                s.path, s.tid
+                json::escape(&s.path),
+                s.tid
             );
         });
     }
@@ -809,6 +815,15 @@ mod tests {
         assert!(json.contains("\"name\":\"node0/arq_occupancy\",\"pid\":0,\"ts\":10000"));
         assert!(json.contains("{\"value\":42}"));
         assert!(!json.contains(",\n]"));
+    }
+
+    #[test]
+    fn counter_track_names_are_escaped() {
+        let tracks = vec![CounterTrack {
+            name: r#"a"b\c"#.into(),
+            points: vec![(0, 1)],
+        }];
+        assert!(export_counter_tracks(&tracks).contains(r#""name":"a\"b\\c""#));
     }
 
     #[test]

@@ -39,6 +39,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use mac_types::json;
+
 /// Hard cap on stored span records; overflow increments a drop counter
 /// instead of growing without bound.
 const MAX_SPAN_RECORDS: usize = 65_536;
@@ -232,7 +234,7 @@ impl Profiler {
             }
             out.push_str(&format!(
                 "\n  {{\"path\":\"{}\",\"count\":{count},\"total_ns\":{ns}}}",
-                escape(path)
+                json::escape(path)
             ));
         }
         out.push_str("\n],\"counters\":{");
@@ -240,7 +242,7 @@ impl Profiler {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":{value}", escape(name)));
+            out.push_str(&format!("\"{}\":{value}", json::escape(name)));
         }
         out.push_str(&format!("}},\"dropped\":{},\"spans\":[", snap.dropped));
         for (i, s) in snap.spans.iter().enumerate() {
@@ -249,7 +251,7 @@ impl Profiler {
             }
             out.push_str(&format!(
                 "\n  {{\"path\":\"{}\",\"tid\":{},\"start_ns\":{},\"dur_ns\":{}}}",
-                escape(&s.path),
+                json::escape(&s.path),
                 s.tid,
                 s.start_ns,
                 s.dur_ns
@@ -300,19 +302,6 @@ impl Drop for SpanGuard {
 
 fn saturating_ns(n: u128) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

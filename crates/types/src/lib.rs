@@ -23,6 +23,7 @@ pub mod config;
 pub mod fingerprint;
 pub mod flit;
 pub mod jobid;
+pub mod json;
 pub mod packet;
 pub mod request;
 pub mod stats;

@@ -18,9 +18,6 @@
 //! WRITE carries the data on the request packet and a bare 1-FLIT
 //! completion on the response.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
-
 use crate::addr::PhysAddr;
 use crate::request::ReqSize;
 
@@ -28,7 +25,7 @@ use crate::request::ReqSize;
 pub const CONTROL_FLITS_PER_PACKET: u64 = 1;
 
 /// Kind of HMC link packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PacketKind {
     /// Read request: 1 control FLIT, no data.
     ReadRequest,
@@ -45,7 +42,7 @@ pub enum PacketKind {
 }
 
 /// A link-level HMC packet: the unit of serialization on the SerDes links.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HmcPacket {
     /// Packet kind.
     pub kind: PacketKind,
@@ -80,41 +77,36 @@ impl HmcPacket {
     /// Encode the packet header into its on-link wire format. The data
     /// payload is timing-only in this simulator (contents are not modeled),
     /// so only the 16 B control FLIT is materialized.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
-        buf.put_u8(match self.kind {
+    pub fn encode(&self) -> [u8; 16] {
+        let mut buf = [0u8; 16];
+        buf[0] = match self.kind {
             PacketKind::ReadRequest => 0,
             PacketKind::ReadResponse => 1,
             PacketKind::WriteRequest => 2,
             PacketKind::WriteResponse => 3,
             PacketKind::AtomicRequest => 4,
             PacketKind::AtomicResponse => 5,
-        });
-        buf.put_u8(self.size.flits() as u8);
-        buf.put_u32(self.tag);
-        buf.put_u64(self.addr.raw());
+        };
+        buf[1] = self.size.flits() as u8;
+        buf[2..6].copy_from_slice(&self.tag.to_be_bytes());
+        buf[6..14].copy_from_slice(&self.addr.raw().to_be_bytes());
         // CRC over the first 14 bytes, stored in the tail position.
-        let crc = crc16(&buf);
-        buf.put_u16(crc);
-        buf.freeze()
+        let crc = crc16(&buf[..14]);
+        buf[14..].copy_from_slice(&crc.to_be_bytes());
+        buf
     }
 
     /// Decode a packet header produced by [`HmcPacket::encode`], verifying
     /// the CRC. Returns `None` for malformed or corrupted headers.
-    pub fn decode(mut raw: Bytes) -> Option<HmcPacket> {
-        if raw.len() != 16 {
+    pub fn decode(raw: &[u8]) -> Option<HmcPacket> {
+        let raw: &[u8; 16] = raw.try_into().ok()?;
+        let crc = u16::from_be_bytes([raw[14], raw[15]]);
+        if crc != crc16(&raw[..14]) {
             return None;
         }
-        let body = raw.slice(0..14);
-        let kind_byte = raw.get_u8();
-        let flits = raw.get_u8() as u64;
-        let tag = raw.get_u32();
-        let addr = raw.get_u64();
-        let crc = raw.get_u16();
-        if crc != crc16(&body) {
-            return None;
-        }
-        let kind = match kind_byte {
+        let tag = u32::from_be_bytes(raw[2..6].try_into().expect("4-byte range"));
+        let addr = u64::from_be_bytes(raw[6..14].try_into().expect("8-byte range"));
+        let kind = match raw[0] {
             0 => PacketKind::ReadRequest,
             1 => PacketKind::ReadResponse,
             2 => PacketKind::WriteRequest,
@@ -123,7 +115,7 @@ impl HmcPacket {
             5 => PacketKind::AtomicResponse,
             _ => return None,
         };
-        let size = match flits {
+        let size = match raw[1] {
             1 => ReqSize::B16,
             2 => ReqSize::B32,
             4 => ReqSize::B64,
@@ -228,7 +220,7 @@ mod tests {
                 let p = pkt(kind, size);
                 let enc = p.encode();
                 assert_eq!(enc.len(), 16, "control FLIT is 16 B");
-                assert_eq!(HmcPacket::decode(enc).as_ref(), Some(&p));
+                assert_eq!(HmcPacket::decode(&enc).as_ref(), Some(&p));
             }
         }
     }
@@ -236,10 +228,10 @@ mod tests {
     #[test]
     fn decode_rejects_corruption() {
         let p = pkt(PacketKind::ReadRequest, ReqSize::B64);
-        let mut enc = BytesMut::from(&p.encode()[..]);
+        let mut enc = p.encode();
         enc[6] ^= 0xFF; // flip an address byte -> CRC mismatch
-        assert_eq!(HmcPacket::decode(enc.freeze()), None);
-        assert_eq!(HmcPacket::decode(Bytes::from_static(&[0u8; 8])), None);
+        assert_eq!(HmcPacket::decode(&enc), None);
+        assert_eq!(HmcPacket::decode(&[0u8; 8]), None);
     }
 
     #[test]

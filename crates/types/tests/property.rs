@@ -90,11 +90,11 @@ proptest! {
             [size_idx];
         let p = HmcPacket { kind, addr: PhysAddr::new(addr & !0xF), size, tag };
         let enc = p.encode();
-        prop_assert_eq!(HmcPacket::decode(enc.clone()), Some(p.clone()));
+        prop_assert_eq!(HmcPacket::decode(&enc), Some(p.clone()));
 
-        let mut bad = bytes::BytesMut::from(&enc[..]);
+        let mut bad = enc.to_vec();
         bad[corrupt_byte] ^= 1 << corrupt_bit;
-        let decoded = HmcPacket::decode(bad.freeze());
+        let decoded = HmcPacket::decode(&bad);
         prop_assert_ne!(decoded, Some(p), "corruption must not decode to the original");
     }
 
