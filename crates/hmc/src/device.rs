@@ -75,6 +75,13 @@ impl HmcDevice {
         self.vaults.can_accept(loc.vault, now)
     }
 
+    /// The earliest cycle `>= now` at which [`HmcDevice::can_accept`]
+    /// holds for `req`, absent further submissions. Non-mutating.
+    pub fn accept_at(&self, req: &HmcRequest, now: Cycle) -> Cycle {
+        let loc = self.map.locate(req.addr);
+        self.vaults.accept_at(loc.vault, now)
+    }
+
     /// Submit one request transaction at cycle `now` (non-decreasing
     /// across calls). Returns the cycle at which the response will have
     /// fully arrived back at the host.
@@ -194,6 +201,9 @@ impl HmcDevice {
 impl crate::device_trait::MemoryDevice for HmcDevice {
     fn can_accept(&mut self, req: &HmcRequest, now: Cycle) -> bool {
         HmcDevice::can_accept(self, req, now)
+    }
+    fn accept_at(&self, req: &HmcRequest, now: Cycle) -> Cycle {
+        HmcDevice::accept_at(self, req, now)
     }
     fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
         HmcDevice::submit(self, req, now)

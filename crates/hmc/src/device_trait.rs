@@ -1,8 +1,9 @@
 //! The common interface of 3D-stacked memory back ends.
 //!
 //! The MAC is device-agnostic by design (§4.3): it emits packetized
-//! transactions and consumes responses. Both [`crate::HmcDevice`] and
-//! [`crate::HbmDevice`] implement this trait, so the full-system
+//! transactions and consumes responses. [`crate::HmcDevice`],
+//! [`crate::HbmDevice`], [`crate::DdrDevice`] and the multi-cube
+//! `mac_net::NetDevice` implement this trait, so the full-system
 //! simulator switches back ends with a configuration flag.
 
 use mac_types::{Cycle, HmcRequest, HmcResponse};
@@ -14,6 +15,12 @@ pub trait MemoryDevice {
     /// Whether the device can enqueue a request for this address at `now`
     /// (finite internal queues provide backpressure).
     fn can_accept(&mut self, req: &HmcRequest, now: Cycle) -> bool;
+
+    /// The earliest cycle `>= now` at which [`MemoryDevice::can_accept`]
+    /// would return true for `req`, provided nothing is submitted in
+    /// between. Non-mutating; the event-driven run loop skips to it
+    /// instead of probing every cycle while the device is full.
+    fn accept_at(&self, req: &HmcRequest, now: Cycle) -> Cycle;
 
     /// Submit one transaction at cycle `now` (non-decreasing across
     /// calls); returns its completion cycle.

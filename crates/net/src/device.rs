@@ -203,6 +203,13 @@ impl NetDevice {
         self.vaults[cube.0 as usize].can_accept(loc.vault, now)
     }
 
+    /// The earliest cycle `>= now` at which [`NetDevice::can_accept`]
+    /// holds for `req`, absent further submissions. Non-mutating.
+    pub fn accept_at(&self, req: &HmcRequest, now: Cycle) -> Cycle {
+        let (cube, loc) = self.map.locate(req.addr);
+        self.vaults[cube.0 as usize].accept_at(loc.vault, now)
+    }
+
     /// Submit one transaction at cycle `now` (non-decreasing across
     /// calls); returns the cycle its response has fully arrived back at
     /// the host.
@@ -295,6 +302,9 @@ impl NetDevice {
 impl MemoryDevice for NetDevice {
     fn can_accept(&mut self, req: &HmcRequest, now: Cycle) -> bool {
         NetDevice::can_accept(self, req, now)
+    }
+    fn accept_at(&self, req: &HmcRequest, now: Cycle) -> Cycle {
+        NetDevice::accept_at(self, req, now)
     }
     fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
         NetDevice::submit(self, req, now)
@@ -466,5 +476,45 @@ mod tests {
             MemoryDevice::can_accept(&mut dev, &remote, 0),
             "cube 1's same-numbered vault is a different queue"
         );
+    }
+
+    #[test]
+    fn accept_at_agrees_with_can_accept() {
+        // A burst to one vault of the remote cube, each request submitted
+        // at the cycle `accept_at` names: a clone must refuse it at every
+        // earlier cycle and admit it there.
+        let cfg = HmcConfig {
+            vault_queue_depth: 4,
+            ..HmcConfig::default()
+        };
+        let mut dev = NetDevice::new(&cfg, &net(2));
+        let target = dev.addr_map().locate(PhysAddr::new(1 << 17));
+        let rows: Vec<u64> = (0..1u64 << 12)
+            .map(|r| (1 << 17) + r * 256)
+            .filter(|&a| {
+                let (cube, loc) = dev.addr_map().locate(PhysAddr::new(a));
+                (cube, loc.vault) == (target.0, target.1.vault)
+            })
+            .take(5)
+            .collect();
+        assert_eq!(rows.len(), 5);
+        let sizes = [ReqSize::B16, ReqSize::B256, ReqSize::B64, ReqSize::B32];
+        let (mut now, mut waited) = (0, 0);
+        for i in 0..48usize {
+            let r = read_req(rows[i * 7 % 5], sizes[i % 4], 0);
+            let at = MemoryDevice::accept_at(&dev, &r, now);
+            let mut probe = dev.clone();
+            for t in now..at {
+                assert!(
+                    !probe.can_accept(&r, t),
+                    "request {i}: admitted at {t} < {at}"
+                );
+            }
+            assert!(probe.can_accept(&r, at), "request {i}: refused at {at}");
+            waited += (at > now) as usize;
+            now = at;
+            dev.submit(r, now);
+        }
+        assert!(waited > 0, "the burst must fill the vault queue");
     }
 }

@@ -272,12 +272,13 @@ impl Fabric for CubeFabric {
                 next = merge_next(next, Some(t.max(now)));
             }
             next = merge_next(next, stage.mac.next_event(now));
-            if !stage.dispatch_q.is_empty() {
-                // Vault backpressure is probed (and can mutate device
-                // bookkeeping) while the dispatch queue is non-empty, so
-                // never skip across it.
-                next = merge_next(next, Some(now));
-            }
+            // The queued head enters its vault at the first cycle the
+            // vault has room; the probes skipped until then would only
+            // prune finished entries, which is idempotent.
+            next = merge_next(
+                next,
+                stage.dispatch_q.front().map(|r| self.dev.accept_at(r, now)),
+            );
         }
         merge_next(next, self.dev.next_completion().map(|t| t.max(now)))
     }

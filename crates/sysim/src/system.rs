@@ -313,12 +313,11 @@ impl Fabric for HostFabric {
                 next = merge_next(next, Some(now));
             }
             next = merge_next(next, n.mac.next_event(now));
-            if !n.dispatch_q.is_empty() {
-                // Vault backpressure is probed (and can mutate device
-                // bookkeeping) whenever the dispatch queue is non-empty,
-                // so never skip across it.
-                next = merge_next(next, Some(now));
-            }
+            // The queued head enters the device at the first cycle its
+            // vault (channel) has room. Probes before then only prune
+            // finished entries, which is idempotent, so skipping them
+            // changes nothing.
+            next = merge_next(next, n.dispatch_q.front().map(|r| n.hmc.accept_at(r, now)));
             next = merge_next(next, n.hmc.next_completion().map(|t| t.max(now)));
         }
         next

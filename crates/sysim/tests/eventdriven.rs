@@ -16,11 +16,14 @@
 
 use mac_metrics::MetricsHub;
 use mac_sim::baseline::baseline_requests;
-use mac_sim::experiment::{run_workload, ExperimentConfig, RunObservers, RunOptions};
+use mac_sim::experiment::{
+    run_ops_checked, run_workload, ExperimentConfig, RunObservers, RunOptions,
+};
 use mac_sim::fuzz::{run_fuzz, FuzzOptions};
 use mac_sim::report::RunReport;
-use mac_types::{MacPlacement, MemBackend, NetTopology};
-use mac_workloads::by_name;
+use mac_telemetry::Profiler;
+use mac_types::{MacPlacement, MemBackend, NetTopology, SystemConfig};
+use mac_workloads::{by_name, WorkloadParams};
 
 /// Options attaching only `metrics`, in the given run-loop mode.
 fn sampled(metrics: MetricsHub, stepped: bool) -> RunOptions {
@@ -170,4 +173,91 @@ fn fuzz_mini_campaign_is_clean_on_event_driven_loop() {
         report.failures
     );
     assert_eq!(report.iters, 50);
+}
+
+/// One checked, sampled and profiled run of `ops` under `sys`: the
+/// report, the metrics CSV at a 64-cycle interval, and how many ticks
+/// the run loop stepped.
+fn checked_run(
+    label: &str,
+    sys: &SystemConfig,
+    ops: &[Vec<Vec<soc_sim::ThreadOp>>],
+    stepped: bool,
+) -> (RunReport, String, u64) {
+    let hub = MetricsHub::new(64);
+    let profiler = Profiler::enabled();
+    let opts = RunOptions {
+        observers: RunObservers {
+            metrics: hub.clone(),
+            profiler: profiler.clone(),
+            ..RunObservers::default()
+        },
+        stepped,
+    };
+    let run = run_ops_checked(sys, ops, 50_000_000, opts);
+    assert!(
+        run.is_clean(),
+        "{label} (stepped={stepped}): {:?} {:?}",
+        run.violations,
+        run.divergences
+    );
+    let steps = profiler
+        .snapshot()
+        .expect("enabled profiler")
+        .phases
+        .iter()
+        .find(|(path, _, _)| path.ends_with("/run/step"))
+        .map(|&(_, count, _)| count)
+        .expect("run loop recorded its steps");
+    let csv = hub.snapshot().expect("sampled").to_csv();
+    (run.report, csv, steps)
+}
+
+#[test]
+fn vault_saturated_drains_are_skipped_and_mode_identical() {
+    // Open-loop `stream` at 8 threads floods the dispatch queue faster
+    // than the vault (channel) queues admit, and the run ends in a long
+    // drain where the queue head waits for room. The event-driven loop
+    // must jump to the cycle the device admits the head — with results
+    // identical to stepping every cycle — and so step at most a quarter
+    // of the ticks. The step count is machine-independent: losing the
+    // skip fails this test on any host.
+    let params = WorkloadParams {
+        threads: 8,
+        scale: 1,
+        ..WorkloadParams::default()
+    };
+    let ops: Vec<Vec<Vec<soc_sim::ThreadOp>>> = vec![by_name("stream")
+        .expect("workload registered")
+        .generate(&params)
+        .into_iter()
+        .map(|t| t.into_iter().take(1_500).collect())
+        .collect()];
+
+    let paper = SystemConfig::paper(8);
+    let mut hbm = paper.clone();
+    hbm.backend = MemBackend::Hbm;
+    let mut ddr = paper.clone();
+    ddr.backend = MemBackend::Ddr;
+    let cases = [
+        ("hmc/mac", paper.clone()),
+        ("hmc/nomac", paper.clone().without_mac()),
+        ("hbm/mac", hbm),
+        ("ddr/mac", ddr),
+        (
+            "per-cube/2",
+            paper.with_net(2, NetTopology::DaisyChain, MacPlacement::PerCube),
+        ),
+    ];
+    for (label, sys) in cases {
+        let (stepped, stepped_csv, stepped_steps) = checked_run(label, &sys, &ops, true);
+        let (event, event_csv, event_steps) = checked_run(label, &sys, &ops, false);
+        assert_eq!(stepped, event, "{label}: reports diverged");
+        assert_eq!(stepped_csv, event_csv, "{label}: metrics diverged");
+        assert_eq!(stepped.soc.completions, stepped.soc.raw_requests, "{label}");
+        assert!(
+            event_steps * 4 <= stepped_steps,
+            "{label}: event-driven loop stepped {event_steps} of {stepped_steps} ticks"
+        );
+    }
 }
