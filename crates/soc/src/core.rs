@@ -54,7 +54,8 @@ pub struct Core {
 }
 
 impl Core {
-    /// Build a core with the given thread programs and tids.
+    /// Build a core with the given thread programs and tids. A thread's
+    /// *slot* is its index in `programs`; completions name it by slot.
     pub fn new(
         programs: Vec<(u16, Box<dyn ThreadProgram>)>,
         max_outstanding: usize,
@@ -210,20 +211,18 @@ impl Core {
         next
     }
 
-    /// A memory completion arrived for thread `tid`.
-    pub fn complete_mem(&mut self, tid: u16) {
-        if let Some(t) = self.threads.iter_mut().find(|t| t.tid == tid) {
-            debug_assert!(t.outstanding > 0, "completion without outstanding op");
-            t.outstanding = t.outstanding.saturating_sub(1);
-        }
+    /// A memory completion arrived for the thread in `slot`.
+    pub fn complete_mem(&mut self, slot: usize) {
+        let t = &mut self.threads[slot];
+        debug_assert!(t.outstanding > 0, "completion without outstanding op");
+        t.outstanding = t.outstanding.saturating_sub(1);
     }
 
-    /// A fence issued by thread `tid` retired in the MAC.
-    pub fn complete_fence(&mut self, tid: u16) {
-        if let Some(t) = self.threads.iter_mut().find(|t| t.tid == tid) {
-            t.fence_pending = false;
-            t.outstanding = t.outstanding.saturating_sub(1);
-        }
+    /// A fence issued by the thread in `slot` retired in the MAC.
+    pub fn complete_fence(&mut self, slot: usize) {
+        let t = &mut self.threads[slot];
+        t.fence_pending = false;
+        t.outstanding = t.outstanding.saturating_sub(1);
     }
 
     /// True when every thread has finished and has nothing in flight.

@@ -4,9 +4,9 @@
 //! for the request router, and routes completions back to the owning
 //! core/thread.
 
-use std::collections::HashMap;
-
-use mac_types::{Cycle, MemOpKind, NodeId, PhysAddr, RawRequest, SocConfig, Target, TransactionId};
+use mac_types::{
+    Cycle, IdWindow, MemOpKind, NodeId, PhysAddr, RawRequest, SocConfig, Target, TransactionId,
+};
 
 use crate::core::Core;
 use crate::metrics::SocMetrics;
@@ -27,15 +27,18 @@ pub fn home_of(addr: PhysAddr, nodes: usize) -> NodeId {
 pub struct Node {
     id: NodeId,
     cores: Vec<Core>,
-    /// tid -> core index.
-    thread_home: HashMap<u16, usize>,
-    /// In-flight raw requests: id -> tid.
-    pending: HashMap<TransactionId, u16>,
+    /// tid -> (core index, the thread's slot on that core). Tids are
+    /// dense: thread `i` of the node has tid `i`.
+    thread_home: Vec<(usize, usize)>,
+    /// In-flight raw requests: id -> tid. Ids are node-sequential, so
+    /// the live ones form a short window above the oldest.
+    pending: IdWindow<u16>,
     next_txn: u64,
     nodes_in_system: usize,
     metrics: SocMetrics,
-    /// Per-thread tag counters (the 2 B transaction tag of §4.1.1).
-    tags: HashMap<u16, u16>,
+    /// Per-thread tag counters (the 2 B transaction tag of §4.1.1),
+    /// indexed by tid.
+    tags: Vec<u16>,
 }
 
 impl Node {
@@ -45,13 +48,13 @@ impl Node {
         let ncores = cfg.cores.max(1);
         let mut per_core: Vec<Vec<(u16, Box<dyn ThreadProgram>)>> =
             (0..ncores).map(|_| Vec::new()).collect();
-        let mut thread_home = HashMap::new();
+        let mut thread_home = Vec::with_capacity(programs.len());
         for (i, p) in programs.into_iter().enumerate() {
-            let tid = i as u16;
             let core = i % ncores;
-            thread_home.insert(tid, core);
-            per_core[core].push((tid, p));
+            thread_home.push((core, per_core[core].len()));
+            per_core[core].push((i as u16, p));
         }
+        let threads = thread_home.len();
         let cores = per_core
             .into_iter()
             .map(|ps| {
@@ -67,11 +70,11 @@ impl Node {
             id,
             cores,
             thread_home,
-            pending: HashMap::new(),
+            pending: IdWindow::new(),
             next_txn: TransactionId::compose(id.0, 0).0, // node-unique id spaces
             nodes_in_system: cfg.nodes.max(1),
             metrics: SocMetrics::default(),
-            tags: HashMap::new(),
+            tags: vec![0; threads],
         }
     }
 
@@ -92,7 +95,7 @@ impl Node {
         for core in &mut self.cores {
             core.tick(now, |issue| {
                 let id = TransactionId(*next_txn);
-                let tag = tags.entry(issue.tid).or_insert(0);
+                let tag = &mut tags[issue.tid as usize];
                 let raw = RawRequest {
                     id,
                     addr: issue.addr,
@@ -113,7 +116,7 @@ impl Node {
                 if sink(raw) {
                     *next_txn += 1;
                     *tag = tag.wrapping_add(1);
-                    pending.insert(id, issue.tid);
+                    pending.insert(id.0, issue.tid);
                     metrics.raw_requests += 1;
                     true
                 } else {
@@ -143,10 +146,9 @@ impl Node {
 
     /// A raw request completed (response data arrived).
     pub fn complete(&mut self, id: TransactionId, now: Cycle) {
-        if let Some(tid) = self.pending.remove(&id) {
-            if let Some(&core) = self.thread_home.get(&tid) {
-                self.cores[core].complete_mem(tid);
-            }
+        if let Some(tid) = self.pending.remove(id.0) {
+            let (core, slot) = self.thread_home[tid as usize];
+            self.cores[core].complete_mem(slot);
             self.metrics.completions += 1;
             let _ = now;
         }
@@ -154,10 +156,9 @@ impl Node {
 
     /// A fence retired inside the MAC.
     pub fn complete_fence(&mut self, raw: &RawRequest) {
-        if self.pending.remove(&raw.id).is_some() {
-            if let Some(&core) = self.thread_home.get(&raw.target.tid) {
-                self.cores[core].complete_fence(raw.target.tid);
-            }
+        if let Some(tid) = self.pending.remove(raw.id.0) {
+            let (core, slot) = self.thread_home[tid as usize];
+            self.cores[core].complete_fence(slot);
             self.metrics.completions += 1;
         }
     }
@@ -273,12 +274,13 @@ mod tests {
     fn tags_increment_per_thread() {
         let mut n = Node::new(NodeId(0), &default_cfg(1), vec![loads(&[0x100, 0x200])]);
         let mut tags = Vec::new();
+        let mut first = None;
         n.tick(0, |r| {
             tags.push(r.target.tag);
+            first = Some(r.id);
             true
         });
-        let first = *n.pending.keys().next().unwrap();
-        n.complete(first, 1);
+        n.complete(first.unwrap(), 1);
         n.tick(2, |r| {
             tags.push(r.target.tag);
             true

@@ -3,7 +3,8 @@
 //! Each iteration draws a random system configuration (ARQ geometry,
 //! pop/accept rates, bypass and latency-hiding switches, FLIT-table
 //! policy, queue depths, topology/placement/mapping for multi-cube
-//! setups, baseline mode) and a random-but-adversarial address stream
+//! setups, the HBM or DDR back end for setups without a network,
+//! baseline mode) and a random-but-adversarial address stream
 //! per thread (same-row hammers, strides, uniform random, bank
 //! hammers, with stores/atomics/fences mixed in), then runs the real
 //! simulator with the `mac-check` invariant checker attached and diffs
@@ -28,8 +29,8 @@ use std::path::{Path, PathBuf};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use mac_types::{
-    AdaptConfig, CubeMapping, FlitTablePolicy, MacPlacement, MemOpKind, NetTopology, PhysAddr,
-    SystemConfig,
+    AdaptConfig, CubeMapping, FlitTablePolicy, MacPlacement, MemBackend, MemOpKind, NetTopology,
+    PhysAddr, SystemConfig,
 };
 use soc_sim::ThreadOp;
 
@@ -210,10 +211,35 @@ fn gen_config(rng: &mut SmallRng) -> SystemConfig {
         if rng.gen_bool(0.2) {
             sys.net.mapping = CubeMapping::Contiguous;
         }
-    } else if rng.gen_bool(0.3) {
-        sys.soc.nodes = 2;
+    } else {
+        if rng.gen_bool(0.3) {
+            sys.soc.nodes = 2;
+        }
+        // The network models HMC cubes only; a single device may be any
+        // back end.
+        sys.backend = pick(
+            rng,
+            &[
+                MemBackend::Hmc,
+                MemBackend::Hmc,
+                MemBackend::Hbm,
+                MemBackend::Ddr,
+            ],
+        );
+        let depth = pick(rng, &[2usize, 8, 32]);
+        set_backend_queue(&mut sys, depth);
     }
     sys
+}
+
+/// Set the command-queue depth of the selected HBM or DDR back end (the
+/// HMC vault queue depth is drawn and encoded on its own).
+fn set_backend_queue(sys: &mut SystemConfig, depth: usize) {
+    match sys.backend {
+        MemBackend::Hmc => {}
+        MemBackend::Hbm => sys.hbm.channel_queue_depth = depth,
+        MemBackend::Ddr => sys.ddr.queue_depth = depth,
+    }
 }
 
 /// Draw a random enabled adaptive-controller configuration. Bounds are
@@ -452,6 +478,16 @@ pub fn encode_reproducer(case: &FuzzCase, failure: &[String]) -> String {
             CubeMapping::Interleaved => "interleave",
         },
     );
+    // Emitted only off the default HMC back end, so HMC reproducers stay
+    // byte-identical to what they were before the directive existed.
+    let backend = match s.backend {
+        MemBackend::Hmc => None,
+        MemBackend::Hbm => Some(("hbm", s.hbm.channel_queue_depth)),
+        MemBackend::Ddr => Some(("ddr", s.ddr.queue_depth)),
+    };
+    if let Some((kind, queue)) = backend {
+        let _ = writeln!(out, "backend kind={kind} queue={queue}");
+    }
     // Emitted only for adaptive cases: decoders predating the adaptive
     // controller reject the directive, and non-adaptive reproducers stay
     // byte-identical to what they were before it existed.
@@ -515,6 +551,7 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
     let mut sys: Option<SystemConfig> = None;
     let mut nodes = 1usize;
     let mut net: Option<(bool, usize, NetTopology, MacPlacement, CubeMapping)> = None;
+    let mut backend: Option<(MemBackend, usize)> = None;
     let mut adapt: Option<AdaptConfig> = None;
     let mut threads: Vec<(usize, usize, Vec<ThreadOp>)> = Vec::new();
     let parse = |v: &str| -> Result<u64, String> {
@@ -603,6 +640,25 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
                 }
                 net = Some((enabled, cubes, topology, placement, mapping));
             }
+            Some("backend") => {
+                let mut kind = MemBackend::Hmc;
+                let mut queue = 32usize;
+                for tok in toks {
+                    if let Some(v) = kv(tok, "kind") {
+                        kind = match v {
+                            "hmc" => MemBackend::Hmc,
+                            "hbm" => MemBackend::Hbm,
+                            "ddr" => MemBackend::Ddr,
+                            _ => return Err(format!("unknown backend {v}")),
+                        };
+                    } else if let Some(v) = kv(tok, "queue") {
+                        queue = parse(v)? as usize;
+                    } else {
+                        return Err(format!("unknown backend token {tok}"));
+                    }
+                }
+                backend = Some((kind, queue));
+            }
             Some("adapt") => {
                 let mut a = AdaptConfig {
                     enabled: true,
@@ -680,6 +736,10 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
     }
     if !sys.net.enabled {
         sys.soc.nodes = nodes;
+    }
+    if let Some((kind, queue)) = backend {
+        sys.backend = kind;
+        set_backend_queue(&mut sys, queue);
     }
     if let Some(a) = adapt {
         sys.adapt = a;
@@ -822,12 +882,52 @@ mod tests {
             assert_eq!(back.sys.net.placement, case.sys.net.placement);
             assert_eq!(back.sys.mac_disabled, case.sys.mac_disabled);
             assert_eq!(back.sys.adapt, case.sys.adapt);
+            assert_eq!(back.sys.backend, case.sys.backend);
             // And the decoded case must behave identically.
             let a = case.run();
             let b = back.run();
             assert_eq!(a.report.cycles, b.report.cycles);
             assert_eq!(a.report.soc, b.report.soc);
         }
+    }
+
+    #[test]
+    fn backend_directive_round_trips() {
+        let hmc = (0..)
+            .map(|i| gen_case(&mut iter_rng(9, i), 500_000, false))
+            .find(|c| !c.sys.net.enabled && c.sys.backend == MemBackend::Hmc)
+            .expect("an HMC case without a network");
+        for backend in [MemBackend::Hmc, MemBackend::Hbm, MemBackend::Ddr] {
+            let mut case = hmc.clone();
+            case.sys.backend = backend;
+            set_backend_queue(&mut case.sys, 8);
+            let text = encode_reproducer(&case, &[]);
+            assert_eq!(text.contains("\nbackend "), backend != MemBackend::Hmc);
+            let back = decode_reproducer(&text).expect("decodes");
+            assert_eq!(back.sys, case.sys, "{backend:?}");
+            let (a, b) = (case.run(), back.run());
+            assert_eq!(a.report, b.report, "{backend:?}");
+        }
+        assert!(decode_reproducer(
+            "# mac-check fuzz reproducer v1\nconfig threads=1\nbackend kind=sram\n"
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn generator_draws_every_backend_without_a_network() {
+        let cases: Vec<_> = (0..64)
+            .map(|i| gen_case(&mut iter_rng(5, i), 500_000, false))
+            .collect();
+        for backend in [MemBackend::Hmc, MemBackend::Hbm, MemBackend::Ddr] {
+            assert!(
+                cases.iter().any(|c| c.sys.backend == backend),
+                "{backend:?} never drawn"
+            );
+        }
+        assert!(cases
+            .iter()
+            .all(|c| !c.sys.net.enabled || c.sys.backend == MemBackend::Hmc));
     }
 
     #[test]

@@ -23,15 +23,15 @@
 //!    raw request arrived on;
 //! 5. completed responses fan out into per-request completions.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use hmc_model::CompletionQueue;
 use mac_check::{ConformanceChecker, StatsProbe};
 use mac_coalescer::{AdaptDecision, Mac, RequestRouter, ResponseRouter};
 use mac_metrics::Sampler;
 use mac_net::NetDevice;
 use mac_telemetry::{TraceEvent, Tracer};
-use mac_types::{Cycle, HmcRequest, MemOpKind, NodeId, RawRequest, SystemConfig};
+use mac_types::{Cycle, HmcRequest, IdWindow, MemOpKind, NodeId, RawRequest, SystemConfig};
 use soc_sim::{Node, ThreadProgram};
 
 use crate::driver::{
@@ -44,9 +44,8 @@ use crate::report::RunReport;
 /// and the MAC that coalesces it.
 struct CubeStage {
     mac: Mac,
-    /// Raw requests in flight toward this cube, keyed by arrival cycle.
-    ingress: BinaryHeap<Reverse<(Cycle, u64)>>,
-    arriving: HashMap<u64, RawRequest>,
+    /// Raw requests in flight toward this cube, by arrival cycle.
+    ingress: CompletionQueue<RawRequest>,
     /// Transactions dispatched by this cube's MAC, waiting for vault room.
     dispatch_q: VecDeque<HmcRequest>,
 }
@@ -64,10 +63,9 @@ pub struct CubeFabric {
     dev: NetDevice,
     cubes: Vec<CubeStage>,
     rsp_router: ResponseRouter,
-    /// Host link each raw request traveled out on; the coalesced
-    /// response returns on the first merged raw's link.
-    raw_link: HashMap<u64, usize>,
-    seq: u64,
+    /// Host link each raw request traveled out on, by raw id; the
+    /// coalesced response returns on the first merged raw's link.
+    raw_link: IdWindow<usize>,
     /// Host-side tracer (routing, response fan-out).
     tracer: Tracer,
     /// Baseline mode: arrivals bypass the cube MACs as 16 B transactions.
@@ -87,8 +85,7 @@ impl NetSystem {
         let cubes = (0..cfg.net.cubes.max(1))
             .map(|_| CubeStage {
                 mac: Mac::new(&cfg.mac),
-                ingress: BinaryHeap::new(),
-                arriving: HashMap::new(),
+                ingress: CompletionQueue::new(),
                 dispatch_q: VecDeque::new(),
             })
             .collect();
@@ -98,8 +95,7 @@ impl NetSystem {
             dev: NetDevice::new(&cfg.hmc, &cfg.net),
             cubes,
             rsp_router: ResponseRouter::new(),
-            raw_link: HashMap::new(),
-            seq: 0,
+            raw_link: IdWindow::new(),
             tracer: Tracer::disabled(),
             mac_disabled: cfg.mac_disabled,
             vaults: cfg.hmc.vaults,
@@ -160,11 +156,7 @@ impl Fabric for CubeFabric {
                 let flits = Self::raw_flits(raw.kind);
                 let (link, arrival) = self.dev.deliver_request(dest.0, now, flits);
                 self.raw_link.insert(raw.id.0, link);
-                let key = self.seq;
-                self.seq += 1;
-                let stage = &mut self.cubes[dest.0 as usize];
-                stage.ingress.push(Reverse((arrival, key)));
-                stage.arriving.insert(key, raw);
+                self.cubes[dest.0 as usize].ingress.push(arrival, raw);
             }
         }
 
@@ -175,26 +167,24 @@ impl Fabric for CubeFabric {
             // Arrivals feed the cube's MAC (or bypass it in baseline
             // mode), at the same accept rate a host MAC would have.
             for _ in 0..accepts {
-                let Some(&Reverse((t, key))) = stage.ingress.peek() else {
+                let Some((t, &raw)) = stage.ingress.peek() else {
                     break;
                 };
                 if t > now {
                     break;
                 }
-                stage.ingress.pop();
-                let raw = stage.arriving.remove(&key).expect("queued arrival");
                 if mac_disabled {
+                    stage.ingress.pop();
                     dispatch(&mut stage.dispatch_q, checker, raw_to_txn(&raw, now), now);
                     continue;
                 }
-                let backlog = stage.ingress.len();
+                // The backlog behind the head; an ARQ-full refusal leaves
+                // the head queued to retry next cycle.
+                let backlog = stage.ingress.len() - 1;
                 if !stage.mac.try_accept_with_backlog(raw, now, backlog) {
-                    // ARQ full: put it back at the head (same key keeps
-                    // heap order) and retry next cycle.
-                    stage.ingress.push(Reverse((t, key)));
-                    stage.arriving.insert(key, raw);
                     break;
                 }
+                stage.ingress.pop();
             }
 
             if !mac_disabled {
@@ -220,7 +210,7 @@ impl Fabric for CubeFabric {
                 let (cube, rsp_ready, conflict) = self.dev.cube_access(&req, now);
                 let mut link = None;
                 for id in &req.raw_ids {
-                    let l = self.raw_link.remove(&id.0);
+                    let l = self.raw_link.remove(id.0);
                     if link.is_none() {
                         link = l;
                     }
@@ -268,7 +258,7 @@ impl Fabric for CubeFabric {
             if next == Some(now) {
                 return next; // cannot get earlier
             }
-            if let Some(&Reverse((t, _))) = stage.ingress.peek() {
+            if let Some(t) = stage.ingress.next_at() {
                 next = merge_next(next, Some(t.max(now)));
             }
             next = merge_next(next, stage.mac.next_event(now));

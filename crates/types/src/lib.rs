@@ -11,9 +11,11 @@
 //! packets, device responses, the analytic bandwidth-efficiency model of
 //! Eq. 1, and the configuration structs that mirror Table 1 of the paper.
 //!
-//! Everything here is plain data: no simulation behaviour lives in this
-//! crate. The MAC pipeline is in `mac-coalescer`, the HMC device model in
-//! `hmc-model`, and the full-system binding in `mac-sim`.
+//! Everything here is plain data (plus [`IdWindow`], the dense map the
+//! per-request bookkeeping keys by transaction id): no simulation
+//! behaviour lives in this crate. The MAC pipeline is in
+//! `mac-coalescer`, the HMC device model in `hmc-model`, and the
+//! full-system binding in `mac-sim`.
 
 #![warn(missing_docs)]
 
@@ -22,6 +24,7 @@ pub mod bandwidth;
 pub mod config;
 pub mod fingerprint;
 pub mod flit;
+pub mod idwindow;
 pub mod jobid;
 pub mod json;
 pub mod packet;
@@ -36,6 +39,7 @@ pub use config::{
 };
 pub use fingerprint::{Fingerprint, Fnv128};
 pub use flit::{ChunkMask, FlitMap, CHUNKS_PER_ROW, CHUNK_BYTES, FLITS_PER_CHUNK};
+pub use idwindow::IdWindow;
 pub use jobid::JobId;
 pub use packet::{HmcPacket, PacketKind};
 pub use request::{
